@@ -1,12 +1,13 @@
 // Package extmem is a spillable fixed-record tuple store: the out-of-core
 // backend that makes the MPC model's per-machine memory S = n^γ a real byte
 // budget instead of an accounting fiction. A store holds an ordered
-// sequence of records. Under its budget everything is resident and every
-// operation runs the same in-memory algorithms as the resident simulator;
-// past it, contents live in CRC-32C-checksummed run files (run.go) and the
-// streaming forms of each operation take over — chunked stable sorts plus
-// external merges for Sort, frame-at-a-time rewrites for Update/Filter,
-// carry-buffered batching for segment walks.
+// sequence of records. Under its budget (always, when the budget is
+// unlimited) everything is resident in one slice and every operation runs
+// an in-memory algorithm on it; past it, contents live in
+// CRC-32C-checksummed run files (run.go) and the streaming forms of each
+// operation take over — chunked stable sorts plus external merges for
+// Sort, frame-at-a-time rewrites for Update/Filter, carry-buffered
+// batching for segment walks.
 //
 // The determinism contract every layer above relies on: a stable sort has
 // exactly one output permutation, so sorting chunks stably (with the same
@@ -114,6 +115,11 @@ type Store[T any] struct {
 	dir  string // private run directory, created on first spill
 	seq  int
 	keep []bool // scratch mask for filters
+
+	// Segment-walk scratch, retained across walks: boundary flags for the
+	// parallel detection pass and the segment start offsets.
+	isStart []bool
+	starts  []int
 
 	// Sort scratch, retained across sorts (≤ one chunk each).
 	sortKeys []uint64
@@ -229,9 +235,7 @@ func (s *Store[T]) noteResident(recs int) {
 // allows switches to spilling mid-load, so the caller can stream a
 // collection it could never hold in memory.
 func (s *Store[T]) LoadFrom(hint int, fill func(emit func(T))) error {
-	if err := s.reset(); err != nil {
-		return err
-	}
+	s.reset()
 	capHint := hint
 	if capHint > s.chunkRecs {
 		capHint = s.chunkRecs
@@ -356,31 +360,13 @@ func (s *Store[T]) Update(fn func(*T)) error {
 // order. keep must be pure and safe to call concurrently.
 func (s *Store[T]) Filter(keep func(*T) bool) error {
 	if len(s.runs) == 0 {
-		mem := s.mem
-		mask := s.mask(len(mem))
-		par.For(s.workers, len(mem), func(i int) { mask[i] = keep(&mem[i]) })
-		s.mem = compact(mem, mask)
+		s.mem = s.filterBatch(s.mem, keep)
 		s.n = len(s.mem)
 		return nil
 	}
-	frame := make([]T, s.frameRecs)
-	out, err := s.newRollingWriter()
-	if err != nil {
-		return err
-	}
-	total := 0
-	err = s.streamRuns(frame, func(batch []T) error {
-		mask := s.mask(len(batch))
-		par.For(s.workers, len(batch), func(i int) { mask[i] = keep(&batch[i]) })
-		kept := compact(batch, mask)
-		total += len(kept)
-		return out.add(kept)
-	})
-	if err != nil {
-		out.abort()
-		return err
-	}
-	return s.adoptRuns(out, total)
+	return s.rewrite(func(process func([]T) error) error {
+		return s.streamRuns(make([]T, s.frameRecs), process)
+	}, func(batch []T) []T { return s.filterBatch(batch, keep) })
 }
 
 // Segments walks maximal runs of adjacent records for which same holds,
@@ -406,21 +392,22 @@ func (s *Store[T]) Segments(same func(a, b *T) bool, fn func(shard int, seg []T)
 // segment and safe to call concurrently.
 func (s *Store[T]) FilterSegments(same func(a, b *T) bool, decide func(seg []T, keep []bool)) error {
 	if len(s.runs) == 0 {
-		mask := s.mask(len(s.mem))
-		s.batchDecide(s.mem, mask, same, decide)
-		s.mem = compact(s.mem, mask)
+		s.mem = s.decideBatch(s.mem, same, decide)
 		s.n = len(s.mem)
 		return nil
 	}
-	out, err := s.newRollingWriter()
-	if err != nil {
-		return err
-	}
+	return s.rewrite(func(process func([]T) error) error {
+		return s.carryBatches(same, process)
+	}, func(batch []T) []T { return s.decideBatch(batch, same, decide) })
+}
+
+// rewrite rebuilds the spilled contents from the batches walk streams,
+// keeping what sel compacts each batch to.
+func (s *Store[T]) rewrite(walk func(process func([]T) error) error, sel func(batch []T) []T) error {
+	out := &rollingWriter[T]{s: s}
 	total := 0
-	err = s.carryBatches(same, func(batch []T) error {
-		mask := s.mask(len(batch))
-		s.batchDecide(batch, mask, same, decide)
-		kept := compact(batch, mask)
+	err := walk(func(batch []T) error {
+		kept := sel(batch)
 		total += len(kept)
 		return out.add(kept)
 	})
@@ -431,48 +418,85 @@ func (s *Store[T]) FilterSegments(same func(a, b *T) bool, decide func(seg []T, 
 	return s.adoptRuns(out, total)
 }
 
+// filterBatch compacts batch in place to the records keep accepts. The
+// predicate pass fans out over the workers; with one worker it is a plain
+// loop, since the par.For closure would allocate on every call.
+func (s *Store[T]) filterBatch(batch []T, keep func(*T) bool) []T {
+	mask := s.mask(len(batch))
+	if s.workers <= 1 {
+		for i := range batch {
+			mask[i] = keep(&batch[i])
+		}
+	} else {
+		par.For(s.workers, len(batch), func(i int) { mask[i] = keep(&batch[i]) })
+	}
+	return compact(batch, mask)
+}
+
 // batchSegments fans the segments of one in-memory batch out across
 // workers.
 func (s *Store[T]) batchSegments(batch []T, same func(a, b *T) bool, fn func(shard int, seg []T)) {
-	starts := boundaries(batch, same)
-	nseg := len(starts) - 1
-	if nseg <= 0 {
-		return
-	}
-	par.ForShard(s.workers, nseg, func(shard, lo, hi int) {
+	starts := s.boundaries(batch, same)
+	par.ForShard(s.workers, len(starts)-1, func(shard, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			fn(shard, batch[starts[si]:starts[si+1]])
 		}
 	})
 }
 
-// batchDecide runs decide over every segment of batch, filling mask.
-func (s *Store[T]) batchDecide(batch []T, mask []bool, same func(a, b *T) bool, decide func(seg []T, keep []bool)) {
-	starts := boundaries(batch, same)
-	nseg := len(starts) - 1
-	if nseg <= 0 {
-		return
-	}
-	par.ForShard(s.workers, nseg, func(_, lo, hi int) {
+// decideBatch runs decide over every segment of batch and compacts batch in
+// place to the records it marked.
+func (s *Store[T]) decideBatch(batch []T, same func(a, b *T) bool, decide func(seg []T, keep []bool)) []T {
+	mask := s.mask(len(batch))
+	clear(mask)
+	starts := s.boundaries(batch, same)
+	par.ForShard(s.workers, len(starts)-1, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			decide(batch[starts[si]:starts[si+1]], mask[starts[si]:starts[si+1]])
 		}
 	})
+	return compact(batch, mask)
 }
 
-// boundaries returns segment start offsets for batch under same, with a
-// trailing len(batch) sentinel.
-func boundaries[T any](batch []T, same func(a, b *T) bool) []int {
-	starts := []int{0}
-	for i := 1; i < len(batch); i++ {
-		if !same(&batch[i-1], &batch[i]) {
-			starts = append(starts, i)
+// boundaries returns the segment start offsets of batch under same, with a
+// trailing len(batch) sentinel, in the store's retained scratch (valid until
+// the next call). Boundary detection compares each record with its left
+// neighbor only, so with several workers it runs as a parallel flag pass;
+// the offsets are the same at every worker count.
+func (s *Store[T]) boundaries(batch []T, same func(a, b *T) bool) []int {
+	n := len(batch)
+	if cap(s.starts) < n+1 {
+		// Sized once for the worst case (every record a segment), so the
+		// walk never regrows it.
+		s.starts = make([]int, 0, n+1)
+	}
+	starts := s.starts[:0]
+	switch {
+	case n == 0:
+	case s.workers <= 1:
+		starts = append(starts, 0)
+		for i := 1; i < n; i++ {
+			if !same(&batch[i-1], &batch[i]) {
+				starts = append(starts, i)
+			}
+		}
+	default:
+		if cap(s.isStart) < n {
+			s.isStart = make([]bool, n)
+		}
+		isStart := s.isStart[:n]
+		isStart[0] = true
+		par.For(s.workers, n-1, func(i int) {
+			isStart[i+1] = !same(&batch[i], &batch[i+1])
+		})
+		for i, st := range isStart {
+			if st {
+				starts = append(starts, i)
+			}
 		}
 	}
-	if len(batch) == 0 {
-		return []int{0}
-	}
-	return append(starts, len(batch))
+	s.starts = append(starts, n)
+	return s.starts
 }
 
 // carryBatches streams the spilled contents through process in batches
@@ -542,10 +566,6 @@ type rollingWriter[T any] struct {
 	s    *Store[T]
 	cur  *runWriter[T]
 	runs []*runFile
-}
-
-func (s *Store[T]) newRollingWriter() (*rollingWriter[T], error) {
-	return &rollingWriter[T]{s: s}, nil
 }
 
 func (rw *rollingWriter[T]) add(recs []T) error {
@@ -649,26 +669,22 @@ func (s *Store[T]) maybeUnspill() error {
 }
 
 // reset drops all contents, keeping allocated buffers where possible.
-func (s *Store[T]) reset() error {
+func (s *Store[T]) reset() {
 	for _, rf := range s.runs {
 		os.Remove(rf.path)
 	}
 	s.runs = nil
 	s.mem = s.mem[:0]
 	s.n = 0
-	return nil
 }
 
-// mask returns the filter scratch mask, zeroed, of length n.
+// mask returns the filter scratch mask of length n. Its contents are left
+// over from the previous use.
 func (s *Store[T]) mask(n int) []bool {
 	if cap(s.keep) < n {
 		s.keep = make([]bool, n)
 	}
-	m := s.keep[:n]
-	for i := range m {
-		m[i] = false
-	}
-	return m
+	return s.keep[:n]
 }
 
 // compact keeps data[i] where mask[i], in place, returning the kept prefix.
@@ -676,7 +692,9 @@ func compact[T any](data []T, mask []bool) []T {
 	k := 0
 	for i := range data {
 		if mask[i] {
-			data[k] = data[i]
+			if k != i {
+				data[k] = data[i]
+			}
 			k++
 		}
 	}

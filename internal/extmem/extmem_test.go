@@ -73,7 +73,7 @@ func tinyStore(t *testing.T, workers int) *Store[rec] {
 	return s
 }
 
-func residentStoreT(t *testing.T, workers int) *Store[rec] {
+func memStore(t *testing.T, workers int) *Store[rec] {
 	t.Helper()
 	s := NewStore(recCodec, Options{Workers: workers})
 	t.Cleanup(func() { s.Close() })
@@ -87,7 +87,7 @@ func TestLoadScanRoundTrip(t *testing.T) {
 		if spill {
 			s = tinyStore(t, 0)
 		} else {
-			s = residentStoreT(t, 0)
+			s = memStore(t, 0)
 		}
 		loadStore(t, s, data)
 		if s.Spilled() != spill {
@@ -123,7 +123,7 @@ func TestSortMatchesResident(t *testing.T) {
 				if spill {
 					s = tinyStore(t, workers)
 				} else {
-					s = residentStoreT(t, workers)
+					s = memStore(t, workers)
 				}
 				loadStore(t, s, data)
 				var err error
@@ -157,7 +157,7 @@ func TestUpdateFilterMatchResident(t *testing.T) {
 		if spill {
 			s = tinyStore(t, 0)
 		} else {
-			s = residentStoreT(t, 0)
+			s = memStore(t, 0)
 		}
 		loadStore(t, s, data)
 		if err := s.Update(func(r *rec) { r.V *= 2 }); err != nil {
@@ -236,7 +236,7 @@ func TestSegmentsMatchResident(t *testing.T) {
 		return merged
 	}
 
-	res := residentStoreT(t, 3)
+	res := memStore(t, 3)
 	loadStore(t, res, data)
 	sp := tinyStore(t, 3)
 	loadStore(t, sp, data)
@@ -363,5 +363,45 @@ func TestStatsAndMetrics(t *testing.T) {
 	}
 	if st.BudgetBytes != 1 {
 		t.Fatalf("BudgetBytes = %d, want 1", st.BudgetBytes)
+	}
+}
+
+// TestInMemorySteadyStateAllocs pins the resident paths' arena contract at
+// one worker: once the first sort and filter have sized the scratch,
+// SortKey and Filter allocate nothing.
+func TestInMemorySteadyStateAllocs(t *testing.T) {
+	s := memStore(t, 1)
+	loadStore(t, s, genRecs(5000, 9))
+	byK := func(r *rec) uint64 { return r.K }
+	byV := func(r *rec) uint64 { return uint64(r.V) }
+	keepAll := func(*rec) bool { return true }
+	if err := s.SortKey(byK); err != nil { // size the arena
+		t.Fatal(err)
+	}
+	if err := s.Filter(keepAll); err != nil {
+		t.Fatal(err)
+	}
+	flip := false
+	if allocs := testing.AllocsPerRun(10, func() {
+		// Alternate keys so every call really permutes.
+		key := byK
+		if flip = !flip; flip {
+			key = byV
+		}
+		if err := s.SortKey(key); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("steady-state SortKey allocated %.0f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := s.Filter(keepAll); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("steady-state Filter allocated %.0f objects/op, want 0", allocs)
+	}
+	if s.Len() != 5000 {
+		t.Fatalf("Len = %d after keep-all filters, want 5000", s.Len())
 	}
 }

@@ -1,8 +1,8 @@
 package extmem
 
-// External sorting. Resident contents sort with the exact primitives the
-// in-memory simulator uses (par.RadixSorter for key sorts, par.SortStableBuf
-// for comparator sorts). Spilled contents sort in two phases:
+// External sorting. Resident contents sort in memory (par.RadixSorter for
+// key sorts, par.SortStableBuf for comparator sorts). Spilled contents sort
+// in two phases:
 //
 //  1. chunking — stream the contents into budget-sized chunks, sort each
 //     chunk in memory with those same primitives, write each back as a
@@ -26,7 +26,7 @@ import (
 // resident radix sort's output order.
 func (s *Store[T]) SortKey(key func(*T) uint64) error {
 	if len(s.runs) == 0 {
-		s.sortMemKey(s.mem, key)
+		s.mem = s.sortMemKey(s.mem, key)
 		return nil
 	}
 	return s.externalSort(key, func(a, b *T) bool { return key(a) < key(b) })
@@ -43,25 +43,43 @@ func (s *Store[T]) SortLess(less func(a, b *T) bool) error {
 }
 
 // sortMemKey is the resident key sort: extract radix keys, stable radix
-// sort of (key, index), apply the permutation.
-func (s *Store[T]) sortMemKey(data []T, key func(*T) uint64) {
+// sort of (key, index), apply the permutation. The permutation is applied
+// into the retained sort scratch, which is returned as the sorted records;
+// data's backing array becomes the next sort's scratch (ping-pong, no copy
+// back). With one worker the passes are plain loops, since the par.For
+// closures would allocate on every call.
+func (s *Store[T]) sortMemKey(data []T, key func(*T) uint64) []T {
 	n := len(data)
 	if n == 0 {
-		return
+		return data
 	}
 	if cap(s.sortKeys) < n {
 		s.sortKeys = make([]uint64, n)
 		s.sortIdx = make([]uint32, n)
 	}
 	keys, idx := s.sortKeys[:n], s.sortIdx[:n]
-	par.For(s.workers, n, func(i int) {
-		keys[i] = key(&data[i])
-		idx[i] = uint32(i)
-	})
+	if s.workers <= 1 {
+		for i := range data {
+			keys[i] = key(&data[i])
+			idx[i] = uint32(i)
+		}
+	} else {
+		par.For(s.workers, n, func(i int) {
+			keys[i] = key(&data[i])
+			idx[i] = uint32(i)
+		})
+	}
 	s.sorter.Sort(s.workers, keys, idx)
 	buf := s.growBuf(n)
-	par.For(s.workers, n, func(j int) { buf[j] = data[idx[j]] })
-	copy(data, buf)
+	if s.workers <= 1 {
+		for j, i := range idx {
+			buf[j] = data[i]
+		}
+	} else {
+		par.For(s.workers, n, func(j int) { buf[j] = data[idx[j]] })
+	}
+	s.sortBuf = data[:cap(data)]
+	return buf
 }
 
 // sortMemLess is the resident comparator sort.
@@ -88,7 +106,7 @@ func (s *Store[T]) externalSort(key func(*T) uint64, less func(a, b *T) bool) er
 			return nil
 		}
 		if key != nil {
-			s.sortMemKey(chunk, key)
+			chunk = s.sortMemKey(chunk, key)
 		} else {
 			s.sortMemLess(chunk, less)
 		}

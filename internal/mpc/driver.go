@@ -366,16 +366,19 @@ func iterateDistributed(sim *Sim, p float64, epoch, iter, seed uint64, ds *drive
 	// segment is independent, so segments fan out over the worker pool —
 	// exactly the per-machine group-leader work of Section 6; crossing
 	// machine boundaries costs one Find-Minimum tree and one
-	// decision-gather tree, charged below as before. Per-shard decision
-	// lists concatenate in shard order, which equals segment order, so the
-	// merged decisions are identical at every worker count.
+	// decision-gather tree, charged below as before. Which shard sees which
+	// segment is not fixed (a spilled walk reuses shard ids batch by batch),
+	// so the merge below is order-independent: adds set bits in the spanner
+	// bitmap, joins are keyed by their own supernode (each segment is one),
+	// and removes form a set. The decisions are therefore identical at every
+	// worker count and budget.
 	parts := ds.parts
 	for i := range parts {
 		parts[i].reset()
 	}
 	// badFlag/badTup record the first dead-labeled tuple each shard saw, so
-	// the fail-fast error can name the tuple; the lowest shard's find is
-	// reported, matching the serial scan order.
+	// the fail-fast error can name a tuple. Whether the build fails does not
+	// depend on the shard layout; which offending tuple it names may.
 	badFlag, badTup := ds.badFlag, ds.badTup
 	for i := range badFlag {
 		badFlag[i] = false

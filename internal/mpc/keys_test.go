@@ -73,6 +73,16 @@ func loadSim(t *testing.T, ts []Tuple, workers int) *Sim {
 	return s
 }
 
+// simTuples copies the stored tuples out in placement order.
+func simTuples(t *testing.T, s *Sim) []Tuple {
+	t.Helper()
+	out := make([]Tuple, 0, s.Len())
+	if err := s.Scan(func(tp *Tuple) { out = append(out, *tp) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestKeyEncodingsMatchComparators is the ISSUE's property test: for each of
 // the driver's three converted sorts, SortByKey with the encoding orders
 // exactly like Sort with the comparator it replaced — ties, +Inf weights and
@@ -105,10 +115,11 @@ func TestKeyEncodingsMatchComparators(t *testing.T) {
 				if err := tc.run(got, enc); err != nil {
 					t.Fatal(err)
 				}
-				for i := range want.Data() {
-					if got.Data()[i] != want.Data()[i] {
+				gotTs, wantTs := simTuples(t, got), simTuples(t, want)
+				for i := range wantTs {
+					if gotTs[i] != wantTs[i] {
 						t.Fatalf("workers=%d slot %d: keyed %+v != comparator %+v",
-							w, i, got.Data()[i], want.Data()[i])
+							w, i, gotTs[i], wantTs[i])
 					}
 				}
 				if got.Rounds() != want.Rounds() || got.Sorts() != want.Sorts() {
@@ -139,9 +150,10 @@ func TestSortByKeyFullRangeKeys(t *testing.T) {
 	if err := got.SortByKey(key); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Data() {
-		if got.Data()[i] != want.Data()[i] {
-			t.Fatalf("slot %d: keyed %+v != comparator %+v", i, got.Data()[i], want.Data()[i])
+	gotTs, wantTs := simTuples(t, got), simTuples(t, want)
+	for i := range wantTs {
+		if gotTs[i] != wantTs[i] {
+			t.Fatalf("slot %d: keyed %+v != comparator %+v", i, gotTs[i], wantTs[i])
 		}
 	}
 }
@@ -174,17 +186,27 @@ func TestKeyedAndFallbackBuildsAgree(t *testing.T) {
 }
 
 // TestSimSteadyStateAllocs pins the arena contract: once the first round has
-// sized the scratch, SortByKey, Filter, Keep and SegmentStarts allocate
-// nothing (serial path; the parallel path adds only its goroutine closures).
+// sized the scratch, SortByKey and Filter allocate nothing on the serial
+// path, and the segment walks allocate no more than their par.ForShard
+// closures (the parallel path adds only its goroutine closures).
 func TestSimSteadyStateAllocs(t *testing.T) {
 	rng := xrand.Split(29, 0x616c6c6f63)
 	ts := randomTuples(rng, 5000, 64, 128, false)
 	s := loadSim(t, ts, 1)
 	key := func(tp *Tuple) uint64 { return uint64(tp.Src)<<32 | uint64(uint32(tp.Orig)) }
+	sameSrc := func(a, b *Tuple) bool { return a.Src == b.Src }
+	visit := func(int, []Tuple) {}
+	keepAll := func(_ []Tuple, keep []bool) {
+		for i := range keep {
+			keep[i] = true
+		}
+	}
 	if err := s.SortByKey(key); err != nil { // size the arena
 		t.Fatal(err)
 	}
-	s.SegmentStarts(func(a, b *Tuple) bool { return a.Src == b.Src })
+	if err := s.FilterSegments(sameSrc, keepAll); err != nil {
+		t.Fatal(err)
+	}
 
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := s.SortByKey(key); err != nil {
@@ -194,20 +216,25 @@ func TestSimSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state SortByKey allocated %.0f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		s.SegmentStarts(func(a, b *Tuple) bool { return a.Src == b.Src })
-	}); allocs > 0 {
-		t.Errorf("steady-state SegmentStarts allocated %.0f objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
 		s.Filter(func(*Tuple) bool { return true })
 	}); allocs > 0 {
 		t.Errorf("steady-state Filter allocated %.0f objects/op, want 0", allocs)
 	}
-	mask := s.maskScratch(s.Len())
-	for i := range mask {
-		mask[i] = true
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := s.ForEachSegment(sameSrc, visit); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("steady-state ForEachSegment allocated %.0f objects/op, want <= 2", allocs)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { s.Keep(mask) }); allocs > 0 {
-		t.Errorf("steady-state Keep allocated %.0f objects/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := s.FilterSegments(sameSrc, keepAll); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("steady-state FilterSegments allocated %.0f objects/op, want <= 2", allocs)
+	}
+	if s.Len() != len(ts) {
+		t.Fatalf("keep-all passes left %d of %d tuples", s.Len(), len(ts))
 	}
 }

@@ -112,8 +112,7 @@ func TestSimParallelPrimitives(t *testing.T) {
 		}
 		s.Update(func(t *Tuple) { t.Dst += t.Src })
 		s.Filter(func(t *Tuple) bool { return t.Orig%3 != 0 })
-		out := append([]Tuple(nil), s.Data()...)
-		return out, s.Rounds(), s.Len()
+		return simTuples(t, s), s.Rounds(), s.Len()
 	}
 	serialTuples, serialRounds, serialLen := run(mk(1))
 	parTuples, parRounds, parLen := run(mk(pinWorkers()))
@@ -126,7 +125,10 @@ func TestSimParallelPrimitives(t *testing.T) {
 	}
 }
 
-func TestSegmentStarts(t *testing.T) {
+// TestForEachSegmentBoundaries pins the segment decomposition: maximal
+// runs of equal keys, each handed to fn exactly once, at a multi-worker
+// pool; an empty cluster has no segments.
+func TestForEachSegmentBoundaries(t *testing.T) {
 	s, err := NewSim(100, 50, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -135,56 +137,65 @@ func TestSegmentStarts(t *testing.T) {
 	keys := []int32{3, 3, 3, 5, 7, 7, 9}
 	ts := make([]Tuple, len(keys))
 	for i, k := range keys {
-		ts[i] = Tuple{Src: k}
+		ts[i] = Tuple{Src: k, Orig: int32(i)}
 	}
 	if err := s.Load(ts); err != nil {
 		t.Fatal(err)
 	}
-	got := s.SegmentStarts(func(a, b *Tuple) bool { return a.Src == b.Src })
-	want := []int{0, 3, 4, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("segment starts %v, want %v", got, want)
+	sameSrc := func(a, b *Tuple) bool { return a.Src == b.Src }
+	// Each segment is recorded under its first tuple's position.
+	lens := make([]int, len(keys))
+	if err := s.ForEachSegment(sameSrc, func(_ int, seg []Tuple) {
+		lens[seg[0].Orig] = len(seg)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 0, 0, 1, 2, 0, 1}
+	if !reflect.DeepEqual(lens, want) {
+		t.Fatalf("segment lengths by start %v, want %v", lens, want)
 	}
 	// Empty cluster: no segments.
 	if err := s.Load(nil); err != nil {
 		t.Fatal(err)
 	}
-	if starts := s.SegmentStarts(func(a, b *Tuple) bool { return true }); starts != nil {
-		t.Fatalf("empty data produced segments %v", starts)
+	if err := s.ForEachSegment(func(a, b *Tuple) bool { return true }, func(int, []Tuple) {
+		t.Fatal("empty data produced a segment")
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestKeepMaskCompacts(t *testing.T) {
+// TestFilterSegmentsCompacts pins the fused segmented filter: exactly the
+// tuples decide marks survive, in order.
+func TestFilterSegmentsCompacts(t *testing.T) {
 	s, err := NewSim(100, 10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := make([]Tuple, 10)
 	for i := range ts {
-		ts[i] = Tuple{Orig: int32(i)}
+		ts[i] = Tuple{Src: int32(i / 3), Orig: int32(i)}
 	}
 	if err := s.Load(ts); err != nil {
 		t.Fatal(err)
 	}
-	mask := make([]bool, 10)
-	for i := range mask {
-		mask[i] = i%2 == 0
-	}
-	s.Keep(mask)
-	if s.Len() != 5 {
-		t.Fatalf("kept %d tuples, want 5", s.Len())
-	}
-	s.Scan(func(t0 *Tuple) {
-		if t0.Orig%2 != 0 {
-			t.Fatalf("tuple %d survived a false mask", t0.Orig)
+	err = s.FilterSegments(func(a, b *Tuple) bool { return a.Src == b.Src }, func(seg []Tuple, keep []bool) {
+		for i := range seg {
+			keep[i] = seg[i].Orig%2 == 0
 		}
 	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched mask accepted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := simTuples(t, s)
+	if len(got) != 5 {
+		t.Fatalf("kept %d tuples, want 5", len(got))
+	}
+	for i, tp := range got {
+		if tp.Orig != int32(2*i) {
+			t.Fatalf("survivor %d is tuple %d, want %d", i, tp.Orig, 2*i)
 		}
-	}()
-	s.Keep(make([]bool, 3))
+	}
 }
 
 // TestCancellationSemanticsMPC pins the driver's context contract: fail-fast

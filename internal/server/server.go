@@ -194,7 +194,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener, drainTimeout time.Dura
 	if drainTimeout <= 0 {
 		drainTimeout = 15 * time.Second
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 	select {
@@ -209,6 +209,25 @@ func (s *Server) Run(ctx context.Context, l net.Listener, drainTimeout time.Dura
 	err := hs.Shutdown(sctx)
 	<-errc // always http.ErrServerClosed after Shutdown; drained for hygiene
 	return err
+}
+
+// Connection timeouts of the server Run builds. A client that opens a
+// connection and then sends its request headers slowly (or never) is cut
+// off after readHeaderTimeout instead of holding a connection and a
+// goroutine forever; an idle keep-alive connection is closed after
+// idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer is the net/http server Run serves on.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // handleQuery is POST /v1/query: admission, decode, deadline, fan-out,
